@@ -111,11 +111,13 @@ public:
           journal_(detail::ensure_dir(opts_.dir), opts_.flush_every),
           records_total_(opts_.resume_records),
           skip_remaining_(opts_.continue_after_recovery ? 0 : opts_.resume_records),
-          seq_(opts_.next_snapshot_seq) {}
+          seq_(opts_.next_snapshot_seq) {
+        check_journal(journal_.write_error().empty());
+    }
 
     void ingest_batch(std::span<const traced_alert> batch) {
         if (skip_one()) return;
-        journal_.append_batch(batch);
+        check_journal(journal_.append_batch(batch));
         ++records_total_;
         crash_check();
         engine_.ingest_batch(batch);
@@ -132,7 +134,7 @@ public:
 
     void tick(sim_time now, const network_state& state) {
         if (skip_one()) return;
-        journal_.append_barrier(record_type::tick, now);
+        check_journal(journal_.append_barrier(record_type::tick, now));
         ++records_total_;
         crash_check();
         engine_.tick(now, state);
@@ -143,7 +145,7 @@ public:
 
     void finish(sim_time now, const network_state& state) {
         if (skip_one()) return;
-        journal_.append_barrier(record_type::finish, now);
+        check_journal(journal_.append_barrier(record_type::finish, now));
         ++records_total_;
         crash_check();
         engine_.finish(now, state);
@@ -170,9 +172,10 @@ public:
         return write_checkpoint(now);
     }
 
-    /// Non-fatal durability degradation (a checkpoint that failed to
-    /// write); empty while healthy. The journal stays authoritative, so
-    /// a failed checkpoint costs replay time, not correctness.
+    /// Non-fatal durability degradation, empty while healthy: a
+    /// checkpoint that failed to write (the journal stays authoritative,
+    /// so that costs replay time, not correctness), or a journal write
+    /// that failed (journaling stops there; the engine keeps running).
     [[nodiscard]] const std::string& last_error() const noexcept { return last_error_; }
 
     [[nodiscard]] Engine& engine() noexcept { return engine_; }
@@ -182,6 +185,10 @@ private:
         if (skip_remaining_ == 0) return false;
         --skip_remaining_;
         return true;
+    }
+
+    void check_journal(bool ok) {
+        if (!ok) last_error_ = "journal: " + journal_.write_error();
     }
 
     void crash_check() {
@@ -197,7 +204,7 @@ private:
     }
 
     bool write_checkpoint(sim_time now) {
-        journal_.flush();  // the snapshot references bytes_written()
+        check_journal(journal_.flush());  // the snapshot references bytes_written()
         snapshot_data data;
         data.seq = seq_;
         data.journal_bytes = journal_.bytes_written();
@@ -219,6 +226,7 @@ private:
             last_error_ = e.message();
             return false;
         }
+        prune_snapshots(opts_.dir, seq_);
         ++seq_;
         ++checkpoints_;
         return true;

@@ -5,28 +5,23 @@
 // recovery the journal suffix past the newest snapshot is replayed to
 // reconstruct the exact engine state at the crash point.
 //
-// File layout: an 8-byte magic ("SKYNETJ1") followed by records framed
-//   [u8 type][u32 payload_len LE][u32 crc32c(payload) LE][payload]
-// Batch payloads are a compact little-endian encoding (alert count,
-// then per alert: arrival, source, timestamp, length-prefixed strings,
-// presence flags, and the metric as a raw double bit pattern — replay
-// is bit-exact by construction); the
-// barrier payload is the 8-byte LE tick time. A torn tail — short
-// header, payload overrunning the file, or CRC mismatch — marks the end
-// of the valid prefix: recovery counts and drops it, never aborts.
-// Writes are buffered and flushed every `flush_every` records
-// (group-commit); finish barriers flush, and the durable session
-// flushes before every checkpoint (a checkpoint must not reference
-// unflushed bytes) and before a crash-drill exit.
+// Framed records (skynet/persist/framing.h) with magic "SKYNETJ1". Batch
+// payloads are a compact little-endian encoding (alert count, then per
+// alert: arrival, source, timestamp, length-prefixed strings, presence
+// flags, the metric as a raw double bit pattern — replay is bit-exact by
+// construction); barrier payloads are the 8-byte LE tick time. Finish
+// barriers flush; the durable session also flushes before every
+// checkpoint (it must not reference unflushed bytes) and before a
+// crash-drill exit.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "skynet/persist/framing.h"
 #include "skynet/sim/trace.h"
 
 namespace skynet::persist {
@@ -40,15 +35,16 @@ enum class record_type : std::uint8_t {
     finish = 3,  ///< finish barrier (8-byte LE time)
 };
 
+inline constexpr std::uint8_t journal_record_types[] = {1, 2, 3};
+/// The SKYNETJ1 stream: journal file and ingest wire alike.
+inline constexpr frame_format journal_format{journal_magic, journal_record_types};
+
 /// One decoded journal record.
 struct journal_record {
     record_type type{record_type::batch};
     std::vector<traced_alert> batch;  ///< batch records only
     sim_time now{0};                  ///< tick/finish records only
 };
-
-/// Bytes of a record frame header: [u8 type][u32 len LE][u32 crc32c LE].
-inline constexpr std::size_t record_header_bytes = 1 + 4 + 4;
 
 /// Encodes `batch` into the compact binary batch payload (clears `out`
 /// first). Public because the format doubles as the daemon's streaming
@@ -63,59 +59,32 @@ void encode_batch_payload(std::string& out, std::span<const traced_alert> batch)
 /// Encodes a tick/finish barrier payload (the 8-byte LE sim time).
 [[nodiscard]] std::string encode_barrier_payload(sim_time now);
 
-/// Decodes a barrier payload; false unless it is exactly 8 bytes.
-[[nodiscard]] bool decode_barrier_payload(std::string_view payload, sim_time& now);
+/// Decodes one journal frame into `out`; returns why its payload is
+/// unusable, empty on success.
+[[nodiscard]] std::string decode_record(const frame& f, journal_record& out);
 
-class journal_writer {
+/// The shared frame_writer plus the batch and barrier payload codecs.
+class journal_writer : public frame_writer {
 public:
-    /// Opens `path` for appending, writing the magic when the file is
-    /// new or empty. Throws skynet_error when the file cannot be opened.
-    explicit journal_writer(const std::string& path, std::size_t flush_every = 16);
-    ~journal_writer();
+    explicit journal_writer(const std::string& path, std::size_t flush_every = 16)
+        : frame_writer(path, journal_magic, flush_every) {}
 
-    journal_writer(const journal_writer&) = delete;
-    journal_writer& operator=(const journal_writer&) = delete;
-
-    void append_batch(std::span<const traced_alert> batch);
-    void append_barrier(record_type type, sim_time now);
-
-    /// Pushes buffered records to the OS; counted in flushes().
-    void flush();
-
-    [[nodiscard]] std::uint64_t records_written() const noexcept { return records_; }
-    [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
-    /// File offset after everything appended so far (what a snapshot
-    /// records as its journal position).
-    [[nodiscard]] std::uint64_t bytes_written() const noexcept { return offset_; }
+    bool append_batch(std::span<const traced_alert> batch);
+    bool append_barrier(record_type type, sim_time now);
 
 private:
-    void append(record_type type, std::string_view payload, bool force_flush);
-
-    std::FILE* file_{nullptr};
     std::string payload_buf_;  ///< reused batch-encoding scratch
-    std::size_t flush_every_;
-    std::size_t unflushed_{0};
-    std::uint64_t records_{0};
-    std::uint64_t flushes_{0};
-    std::uint64_t offset_{0};
 };
 
-/// Result of scanning a journal (from an offset, usually a snapshot's).
-struct journal_read_result {
+/// A journal scan (see frame_scan) plus the records it decoded.
+struct journal_read_result : frame_scan {
     std::vector<journal_record> records;
-    /// Absolute offset one past the last intact record (resume-append
-    /// truncates the file here before writing).
-    std::uint64_t valid_bytes{0};
-    /// Bytes of torn/corrupt tail dropped (0 for a clean journal).
-    std::uint64_t truncated_tail_bytes{0};
-    /// Why the scan stopped early; empty for a clean journal.
-    std::string truncation_reason;
-    /// The file does not exist (a valid empty journal, not an error).
-    bool missing{false};
+    std::vector<std::uint64_t> offsets;  ///< where each record starts
 };
 
-/// Decodes records from byte `from` (0 verifies the magic first) to the
-/// end of the valid prefix. Corruption is reported, never thrown.
+/// Decodes records from byte `from` (0 verifies the magic first; a
+/// nonzero `from` must be a record boundary) to the end of the valid
+/// prefix. Corruption is reported, never thrown.
 [[nodiscard]] journal_read_result read_journal(const std::string& path, std::uint64_t from = 0);
 
 /// Drops a torn tail so a recovered session can append safely. Returns

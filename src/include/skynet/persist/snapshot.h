@@ -80,6 +80,15 @@ struct snapshot_parse_result {
 /// Writes `dir/snap-<seq>.skysnap` via a temp file + atomic rename.
 [[nodiscard]] error write_snapshot(const std::string& dir, const snapshot_data& data);
 
+/// A checkpoint directory keeps the newest snapshot plus one fallback in
+/// case it is corrupt; the journal is never truncated, so a full replay
+/// stays the last resort.
+inline constexpr std::uint64_t snapshots_kept = 2;
+
+/// Best-effort: deletes the snapshots in `dir` older than the previous
+/// one, given `newest_seq` just written.
+void prune_snapshots(const std::string& dir, std::uint64_t newest_seq);
+
 struct skipped_snapshot {
     std::string file;
     std::string reason;

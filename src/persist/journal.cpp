@@ -1,37 +1,15 @@
 #include "skynet/persist/journal.h"
 
 #include <bit>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
-
-#include "skynet/common/error.h"
-#include "skynet/persist/crc32c.h"
 
 namespace skynet::persist {
 
 namespace {
 
-constexpr std::size_t header_bytes = record_header_bytes;
-
-void put_u32(std::string& out, std::uint32_t v) {
-    out.push_back(static_cast<char>(v & 0xFF));
-    out.push_back(static_cast<char>((v >> 8) & 0xFF));
-    out.push_back(static_cast<char>((v >> 16) & 0xFF));
-    out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-std::uint32_t get_u32(const char* p) {
-    const auto* b = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) | (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-    put_u32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-    put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
+using le::put_u32;
+using le::put_u64;
 
 void put_str(std::string& out, std::string_view s) {
     put_u32(out, static_cast<std::uint32_t>(s.size()));
@@ -62,14 +40,6 @@ std::string encode_barrier_payload(sim_time now) {
     std::string payload;
     put_u64(payload, static_cast<std::uint64_t>(now));
     return payload;
-}
-
-bool decode_barrier_payload(std::string_view payload, sim_time& now) {
-    if (payload.size() != 8) return false;
-    const std::uint64_t lo = get_u32(payload.data());
-    const std::uint64_t hi = get_u32(payload.data() + 4);
-    now = static_cast<sim_time>(lo | (hi << 32));
-    return true;
 }
 
 void encode_batch_payload(std::string& out, std::span<const traced_alert> batch) {
@@ -119,14 +89,15 @@ struct payload_cursor {
     }
     std::uint32_t u32() {
         if (!take(4)) return 0;
-        const std::uint32_t v = get_u32(bytes.data() + pos);
+        const std::uint32_t v = le::get_u32(bytes.data() + pos);
         pos += 4;
         return v;
     }
     std::uint64_t u64() {
-        const std::uint64_t lo = u32();
-        const std::uint64_t hi = u32();
-        return lo | (hi << 32);
+        if (!take(8)) return 0;
+        const std::uint64_t v = le::get_u64(bytes.data() + pos);
+        pos += 8;
+        return v;
     }
     std::string_view str() {
         const std::uint32_t len = u32();
@@ -176,132 +147,48 @@ bool decode_batch_payload(std::string_view payload, std::vector<traced_alert>& o
     return c.ok && c.pos == payload.size();
 }
 
-journal_writer::journal_writer(const std::string& path, std::size_t flush_every)
-    : flush_every_(flush_every == 0 ? 1 : flush_every) {
-    // "a+b" so an existing valid prefix is preserved on resume.
-    file_ = std::fopen(path.c_str(), "a+b");
-    if (file_ == nullptr) {
-        throw skynet_error("journal: cannot open " + path);
-    }
-    std::fseek(file_, 0, SEEK_END);
-    const long size = std::ftell(file_);
-    if (size <= 0) {
-        std::fwrite(journal_magic.data(), 1, journal_magic.size(), file_);
-        std::fflush(file_);
-        offset_ = journal_magic.size();
+std::string decode_record(const frame& f, journal_record& out) {
+    out.type = static_cast<record_type>(f.type);
+    if (out.type == record_type::batch) {
+        // A CRC-valid frame that does not parse is a writer/reader version
+        // mismatch, not a torn write; the record cannot be replayed.
+        if (!decode_batch_payload(f.payload, out.batch)) return "malformed batch payload";
+    } else if (f.payload.size() == 8) {
+        out.now = static_cast<sim_time>(le::get_u64(f.payload.data()));
     } else {
-        offset_ = static_cast<std::uint64_t>(size);
+        return "barrier payload size mismatch";
     }
+    return {};
 }
 
-journal_writer::~journal_writer() {
-    if (file_ != nullptr) {
-        std::fflush(file_);
-        std::fclose(file_);
-    }
-}
-
-void journal_writer::append(record_type type, std::string_view payload, bool force_flush) {
-    std::string header;
-    header.reserve(header_bytes);
-    header.push_back(static_cast<char>(type));
-    put_u32(header, static_cast<std::uint32_t>(payload.size()));
-    put_u32(header, crc32c(payload));
-    std::fwrite(header.data(), 1, header.size(), file_);
-    std::fwrite(payload.data(), 1, payload.size(), file_);
-    offset_ += header_bytes + payload.size();
-    ++records_;
-    if (force_flush || ++unflushed_ >= flush_every_) flush();
-}
-
-void journal_writer::append_batch(std::span<const traced_alert> batch) {
+bool journal_writer::append_batch(std::span<const traced_alert> batch) {
     encode_batch_payload(payload_buf_, batch);
-    append(record_type::batch, payload_buf_, /*force_flush=*/false);
+    return append(static_cast<std::uint8_t>(record_type::batch), payload_buf_);
 }
 
-void journal_writer::append_barrier(record_type type, sim_time now) {
+bool journal_writer::append_barrier(record_type type, sim_time now) {
     // Group-commit: barriers ride the flush_every cadence like batches;
     // the durable session flushes explicitly where durability is load-
     // bearing (checkpoints, finish, crash drill). A finish barrier ends
     // the stream, so it flushes here.
-    append(type, encode_barrier_payload(now), /*force_flush=*/type == record_type::finish);
-}
-
-void journal_writer::flush() {
-    std::fflush(file_);
-    unflushed_ = 0;
-    ++flushes_;
+    return append(static_cast<std::uint8_t>(type), encode_barrier_payload(now),
+                  /*force_flush=*/type == record_type::finish);
 }
 
 journal_read_result read_journal(const std::string& path, std::uint64_t from) {
     journal_read_result result;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        result.missing = true;
-        return result;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-    std::uint64_t pos = from;
-    if (pos == 0) {
-        if (bytes.size() < journal_magic.size() ||
-            std::string_view(bytes).substr(0, journal_magic.size()) != journal_magic) {
-            // Nothing trustworthy past a bad magic: the whole file is tail.
-            result.truncated_tail_bytes = bytes.size();
-            result.truncation_reason = "bad journal magic";
-            return result;
-        }
-        pos = journal_magic.size();
-    } else if (pos > bytes.size()) {
-        result.truncation_reason = "journal shorter than resume offset";
-        return result;
-    }
-    result.valid_bytes = pos;
-
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < header_bytes) {
-            result.truncation_reason = "torn record header";
-            break;
-        }
-        const auto type = static_cast<record_type>(static_cast<unsigned char>(bytes[pos]));
-        const std::uint32_t len = get_u32(bytes.data() + pos + 1);
-        const std::uint32_t crc = get_u32(bytes.data() + pos + 5);
-        if (type != record_type::batch && type != record_type::tick &&
-            type != record_type::finish) {
-            result.truncation_reason = "unknown record type";
-            break;
-        }
-        if (bytes.size() - pos - header_bytes < len) {
-            result.truncation_reason = "torn record payload";
-            break;
-        }
-        const std::string_view payload(bytes.data() + pos + header_bytes, len);
-        if (crc32c(payload) != crc) {
-            result.truncation_reason = "payload checksum mismatch";
-            break;
-        }
-
-        journal_record record;
-        record.type = type;
-        if (type == record_type::batch) {
-            if (!decode_batch_payload(payload, record.batch)) {
-                // The CRC matched, so this is a writer/reader version
-                // mismatch, not a torn write — still cut here, the
-                // record cannot be replayed faithfully.
-                result.truncation_reason = "unparseable batch payload";
-                break;
+    std::uint64_t offset = from == 0 ? journal_magic.size() : from;
+    static_cast<frame_scan&>(result) =
+        scan_frame_file(path, journal_format, from, [&](const frame& f) {
+            journal_record record;
+            std::string why = decode_record(f, record);
+            if (why.empty()) {
+                result.records.push_back(std::move(record));
+                result.offsets.push_back(offset);
+                offset += frame_header_bytes + f.payload.size();
             }
-        } else {
-            if (!decode_barrier_payload(payload, record.now)) {
-                result.truncation_reason = "barrier payload size mismatch";
-                break;
-            }
-        }
-        result.records.push_back(std::move(record));
-        pos += header_bytes + len;
-        result.valid_bytes = pos;
-    }
-    result.truncated_tail_bytes = bytes.size() - result.valid_bytes;
+            return why;
+        });
     return result;
 }
 

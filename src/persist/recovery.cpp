@@ -1,5 +1,6 @@
 #include "skynet/persist/recovery.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -80,36 +81,37 @@ recovery_result recover_impl(const engine_hooks& hooks, location_table& location
         if (log != nullptr) log->restore({});
     }
 
-    if (!scan.missing) {
-        // Records between the snapshot's offset and the valid end.
-        journal_read_result suffix =
-            replay_from == 0 ? std::move(scan) : read_journal(journal_path, replay_from);
-        for (journal_record& rec : suffix.records) {
-            switch (rec.type) {
-                case record_type::batch:
-                    hooks.ingest(std::span<const traced_alert>(rec.batch));
-                    break;
-                case record_type::tick:
-                case record_type::finish:
-                    if (opts.tick_state == nullptr) {
-                        throw skynet_error(
-                            "recover: journal suffix contains barriers but no tick_state was "
-                            "provided");
-                    }
-                    if (rec.type == record_type::tick) {
-                        hooks.tick(rec.now, *opts.tick_state);
-                    } else {
-                        hooks.finish(rec.now, *opts.tick_state);
-                        r.saw_finish = true;
-                    }
-                    if (hooks.barrier_done) hooks.barrier_done(rec.now, *opts.tick_state);
-                    r.last_barrier_time = rec.now;
-                    break;
-            }
-            ++r.metrics.records_replayed;
+    // Records between the snapshot's offset and the valid end, taken
+    // from the scan above: the journal is decoded once.
+    const std::size_t first = static_cast<std::size_t>(
+        std::lower_bound(scan.offsets.begin(), scan.offsets.end(), replay_from) -
+        scan.offsets.begin());
+    for (std::size_t i = first; i < scan.records.size(); ++i) {
+        journal_record& rec = scan.records[i];
+        switch (rec.type) {
+            case record_type::batch:
+                hooks.ingest(std::span<const traced_alert>(rec.batch));
+                break;
+            case record_type::tick:
+            case record_type::finish:
+                if (opts.tick_state == nullptr) {
+                    throw skynet_error(
+                        "recover: journal suffix contains barriers but no tick_state was "
+                        "provided");
+                }
+                if (rec.type == record_type::tick) {
+                    hooks.tick(rec.now, *opts.tick_state);
+                } else {
+                    hooks.finish(rec.now, *opts.tick_state);
+                    r.saw_finish = true;
+                }
+                if (hooks.barrier_done) hooks.barrier_done(rec.now, *opts.tick_state);
+                r.last_barrier_time = rec.now;
+                break;
         }
-        r.journal_records += suffix.records.size();
+        ++r.metrics.records_replayed;
     }
+    r.journal_records += scan.records.size() - first;
     return r;
 }
 

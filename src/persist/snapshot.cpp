@@ -5,10 +5,10 @@
 #include <charconv>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "skynet/persist/crc32c.h"
+#include "skynet/persist/framing.h"
 #include "skynet/persist/report_codec.h"
 #include "skynet/sim/trace.h"
 
@@ -676,30 +676,22 @@ std::string snapshot_filename(std::uint64_t seq) {
 }
 
 error write_snapshot(const std::string& dir, const snapshot_data& data) {
-    namespace fs = std::filesystem;
     std::error_code ec;
-    fs::create_directories(dir, ec);  // best-effort; the open below reports failure
-
-    const fs::path final_path = fs::path(dir) / snapshot_filename(data.seq);
-    const fs::path tmp_path = final_path.string() + ".tmp";
-    const std::string text = render_snapshot(data);
-    {
-        std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-        if (!out) return error("snapshot: cannot open " + tmp_path.string());
-        out.write(text.data(), static_cast<std::streamsize>(text.size()));
-        out.flush();
-        if (!out) return error("snapshot: short write to " + tmp_path.string());
+    std::filesystem::create_directories(dir, ec);  // best-effort; the write reports failure
+    const std::string path = (std::filesystem::path(dir) / snapshot_filename(data.seq)).string();
+    if (error e = write_atomic(path, render_snapshot(data))) {
+        return error("snapshot: " + e.message());
     }
-    fs::rename(tmp_path, final_path, ec);
-    if (ec) return error("snapshot: rename failed: " + ec.message());
     return error{};
 }
 
-snapshot_pick load_newest_snapshot(const std::string& dir, std::uint64_t journal_valid_bytes) {
-    namespace fs = std::filesystem;
-    snapshot_pick pick;
+namespace {
 
-    std::vector<std::pair<std::uint64_t, fs::path>> candidates;
+/// Snapshot files in `dir` by sequence number, newest first.
+std::vector<std::pair<std::uint64_t, std::filesystem::path>> list_snapshots(
+    const std::string& dir) {
+    namespace fs = std::filesystem;
+    std::vector<std::pair<std::uint64_t, fs::path>> snaps;
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(dir, ec)) {
         const std::string name = entry.path().filename().string();
@@ -708,19 +700,32 @@ snapshot_pick load_newest_snapshot(const std::string& dir, std::uint64_t journal
         const std::string_view digits =
             std::string_view(name).substr(5, name.size() - 5 - std::string_view(".skysnap").size());
         if (!parse_u64(digits, seq)) continue;
-        candidates.emplace_back(seq, entry.path());
+        snaps.emplace_back(seq, entry.path());
     }
-    std::sort(candidates.begin(), candidates.end(),
+    std::sort(snaps.begin(), snaps.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
+    return snaps;
+}
 
-    for (const auto& [seq, path] : candidates) {
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
+}  // namespace
+
+void prune_snapshots(const std::string& dir, std::uint64_t newest_seq) {
+    for (const auto& [seq, path] : list_snapshots(dir)) {
+        if (seq + snapshots_kept > newest_seq) continue;
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+    }
+}
+
+snapshot_pick load_newest_snapshot(const std::string& dir, std::uint64_t journal_valid_bytes) {
+    snapshot_pick pick;
+    for (const auto& [seq, path] : list_snapshots(dir)) {
+        const std::optional<std::string> text = read_file(path.string());
+        if (!text) {
             pick.skipped.push_back({path.filename().string(), "unreadable"});
             continue;
         }
-        std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-        snapshot_parse_result parsed = parse_snapshot(text);
+        snapshot_parse_result parsed = parse_snapshot(*text);
         if (!parsed.ok()) {
             pick.skipped.push_back({path.filename().string(), parsed.error});
             continue;

@@ -6,6 +6,7 @@
 // an uninterrupted run — for the sequential and the sharded engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -294,6 +295,34 @@ TEST(JournalTest, MissingFileIsAValidEmptyJournal) {
     EXPECT_TRUE(read.missing);
     EXPECT_TRUE(read.records.empty());
     EXPECT_EQ(read.truncated_tail_bytes, 0u);
+}
+
+TEST(JournalTest, ResumeOffsetSkipsTheMagicCheck) {
+    const fs::path dir = fresh_dir("journal_resume_offset");
+    const fs::path path = dir / persist::journal_filename;
+    {
+        persist::journal_writer writer(path.string(), 1);
+        writer.append_barrier(record_type::tick, seconds(2));
+        writer.append_barrier(record_type::tick, seconds(4));
+    }
+    std::string bytes = read_file(path);
+    bytes.replace(0, persist::journal_magic.size(), "NOTMAGIC");
+    write_file(path, bytes);
+
+    // From the magic's end the records still decode: a nonzero offset
+    // trusts the caller's frame boundary, not the file's first bytes.
+    const persist::journal_read_result resumed =
+        persist::read_journal(path.string(), persist::journal_magic.size());
+    EXPECT_EQ(resumed.records.size(), 2u);
+    EXPECT_EQ(resumed.valid_bytes, bytes.size());
+    EXPECT_EQ(persist::read_journal(path.string()).valid_bytes, 0u);
+
+    const persist::journal_read_result past =
+        persist::read_journal(path.string(), bytes.size() + 5);
+    EXPECT_TRUE(past.records.empty());
+    EXPECT_EQ(past.valid_bytes, 0u);
+    EXPECT_NE(past.truncation_reason.find("past the end"), std::string::npos)
+        << past.truncation_reason;
 }
 
 // -------------------------------------------------------------- snapshot
@@ -638,6 +667,112 @@ TEST(DurableSessionTest, MetricsCountRecordsFlushesAndCheckpoints) {
         return base;
     }();
     EXPECT_NE(em.render().find("recovery:"), std::string::npos);
+}
+
+/// Recovers `dir` into a fresh sequential engine and returns the result
+/// with the engine's report digest.
+std::pair<persist::recovery_result, std::string> recover_digest(world& w, const fs::path& dir,
+                                                                const network_state& idle) {
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+    skynet_engine eng(w.deps(), cfg);
+    persist::recovery_options ropts;
+    ropts.dir = dir.string();
+    ropts.tick_state = &idle;
+    persist::recovery_result rec = persist::recover(eng, w.topo.locations(), nullptr, ropts);
+    return {std::move(rec), report_digest(eng)};
+}
+
+TEST(RecoveryTest, SnapshotAtMagicLengthReplaysEveryRecord) {
+    world w;
+    const std::vector<command> commands = record_episode(w, minutes(1), 37);
+    network_state idle(&w.topo, &w.customers);
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+
+    const fs::path dir = fresh_dir("snapshot_at_magic");
+    std::string want;
+    {
+        skynet_engine eng(w.deps(), cfg);
+        persist::durable_options opts;
+        opts.dir = dir.string();
+        opts.checkpoint_every = 0;
+        opts.locations = &w.topo.locations();
+        persist::durable_session<skynet_engine> session(eng, opts);
+        ASSERT_TRUE(session.checkpoint_now(0));  // before any record
+        apply(session, commands, idle);
+        want = report_digest(eng);
+    }
+    const auto [rec, got] = recover_digest(w, dir, idle);
+    EXPECT_NE(rec.notes.back().find("journal offset 8"), std::string::npos)
+        << rec.notes.back();
+    EXPECT_EQ(rec.metrics.records_replayed, commands.size());
+    EXPECT_EQ(rec.journal_records, commands.size());
+    EXPECT_EQ(got, want);
+}
+
+TEST(RecoveryTest, SnapshotAtJournalEndReplaysNothing) {
+    world w;
+    const std::vector<command> commands = record_episode(w, minutes(1), 41);
+    network_state idle(&w.topo, &w.customers);
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+
+    const fs::path dir = fresh_dir("snapshot_at_end");
+    {
+        skynet_engine eng(w.deps(), cfg);
+        persist::durable_options opts;
+        opts.dir = dir.string();
+        opts.checkpoint_every = 0;
+        opts.locations = &w.topo.locations();
+        persist::durable_session<skynet_engine> session(eng, opts);
+        apply(session, commands, idle);
+        ASSERT_TRUE(session.checkpoint_now(commands.back().now));  // after the finish
+    }
+    const auto [rec, got] = recover_digest(w, dir, idle);
+    EXPECT_EQ(rec.journal_valid_bytes, fs::file_size(dir / persist::journal_filename));
+    EXPECT_EQ(rec.metrics.records_replayed, 0u);
+    EXPECT_EQ(rec.journal_records, commands.size());
+    EXPECT_FALSE(rec.saw_finish);
+}
+
+TEST(DurableSessionTest, CheckpointDirectoryKeepsTwoSnapshots) {
+    world w;
+    const std::vector<command> commands = record_episode(w, minutes(1), 43);
+    network_state idle(&w.topo, &w.customers);
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+
+    const fs::path dir = fresh_dir("bounded_checkpoints");
+    std::string want;
+    {
+        skynet_engine eng(w.deps(), cfg);
+        persist::durable_options opts;
+        opts.dir = dir.string();
+        opts.checkpoint_every = 1;
+        opts.locations = &w.topo.locations();
+        persist::durable_session<skynet_engine> session(eng, opts);
+        apply(session, commands, idle);
+        ASSERT_GE(session.metrics().checkpoints_written, 10u);
+        want = report_digest(eng);
+    }
+    std::vector<fs::path> snaps;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        if (entry.path().extension() == ".skysnap") snaps.push_back(entry.path());
+    }
+    ASSERT_EQ(snaps.size(), persist::snapshots_kept);
+
+    // The older one is the fallback when the newest is corrupt.
+    std::sort(snaps.begin(), snaps.end());
+    std::string bytes = read_file(snaps.back());
+    bytes[bytes.size() / 2] ^= 0x01;
+    write_file(snaps.back(), bytes);
+    const auto [rec, got] = recover_digest(w, dir, idle);
+    EXPECT_EQ(rec.metrics.snapshots_skipped, 1u);
+    EXPECT_NE(rec.notes.back().find(snaps.front().filename().string()), std::string::npos)
+        << rec.notes.back();
+    EXPECT_GT(rec.metrics.records_replayed, 0u);
+    EXPECT_EQ(got, want);
 }
 
 }  // namespace
