@@ -177,7 +177,8 @@ void aggregator::handle_fed_conn(int fd) {
     char buf[64 * 1024];
     auto last_activity = std::chrono::steady_clock::now();
 
-    auto send_err = [&](const std::string& reason) {
+    auto reject = [&](const std::string& reason) {
+        sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
         (void)serve::write_all(fd, "ERR " + reason + "\n");
     };
 
@@ -187,9 +188,7 @@ void aggregator::handle_fed_conn(int fd) {
         if (n == 0) {
             if (ms_since(last_activity, std::chrono::steady_clock::now()) >=
                 cfg_.session_timeout_ms) {
-                sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
-                send_err("session timeout");
-                return;
+                return reject("session timeout");
             }
             continue;
         }
@@ -197,16 +196,8 @@ void aggregator::handle_fed_conn(int fd) {
         decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
         while (auto frame = decoder.next()) {
             if (frame->type == fed_record::hello) {
-                if (!region.empty()) {
-                    sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
-                    send_err("duplicate hello");
-                    return;
-                }
-                if (frame->payload.empty()) {
-                    sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
-                    send_err("hello with empty region");
-                    return;
-                }
+                if (!region.empty()) return reject("duplicate hello");
+                if (frame->payload.empty()) return reject("hello with empty region");
                 region = frame->payload;
                 touch(region);
                 sessions_.fetch_add(1, std::memory_order_relaxed);
@@ -218,31 +209,17 @@ void aggregator::handle_fed_conn(int fd) {
                 continue;
             }
             // digest frame
-            if (region.empty()) {
-                sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
-                send_err("digest before hello");
-                return;
-            }
+            if (region.empty()) return reject("digest before hello");
             region_digest d;
             std::string err;
-            if (!decode_digest_payload(frame->payload, d, err)) {
-                sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
-                send_err("bad digest: " + err);
-                return;
-            }
+            if (!decode_digest_payload(frame->payload, d, err)) return reject("bad digest: " + err);
             if (d.region != region) {
-                sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
-                send_err("digest region '" + d.region + "' does not match hello '" + region +
-                         "'");
-                return;
+                return reject("digest region '" + d.region + "' does not match hello '" +
+                              region + "'");
             }
             if (apply_digest(std::move(d)).applied) ++applied;
         }
-        if (decoder.corrupt()) {
-            sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
-            send_err(decoder.corruption_reason());
-            return;
-        }
+        if (decoder.corrupt()) return reject(decoder.corruption_reason());
     }
     if (region.empty()) return;  // never completed the handshake
     (void)serve::write_all(fd, "OK " + std::to_string(last_seq(region)) + " " +

@@ -90,6 +90,10 @@ public:
         return acked_.load(std::memory_order_relaxed);
     }
 
+    /// Why the digest journal stopped taking digests (a failed or short
+    /// write); empty while it is healthy or when there is none.
+    [[nodiscard]] std::string journal_error() const;
+
     /// Emitter-side federation counters (merged into /v1/health).
     [[nodiscard]] federation_metrics metrics() const;
 

@@ -5,10 +5,12 @@
 // merged HTTP surface).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -300,6 +302,38 @@ TEST(EmitterTest, JournalReloadResumesSequenceAndBarrier) {
         ASSERT_TRUE(e);
         EXPECT_NE(e.message().find("region"), std::string::npos);
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(EmitterTest, DigestJournalWriteFailureIsReported) {
+    const std::string dir = unique_dir("journal_full");
+    digest_emitter em(quiet_emitter("west", dir));
+    ASSERT_FALSE(em.start());
+    EXPECT_EQ(em.journal_error(), "");
+    const std::string path = dir + "/" + digest_journal_filename;
+    const auto magic_only = std::filesystem::file_size(path);
+
+    // A write that fails after start, as on a full disk: cap this
+    // process's file size at what the journal holds (write() then fails
+    // with EFBIG instead of raising SIGXFSZ).
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved;
+    capped.rlim_cur = magic_only;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    em.publish(fixture_reports(), minutes(2), false);
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, saved_handler);
+
+    EXPECT_NE(em.journal_error().find("short write"), std::string::npos) << em.journal_error();
+    EXPECT_EQ(std::filesystem::file_size(path), magic_only);
+    // The digest still queues for sending; later ones skip the journal.
+    EXPECT_EQ(em.next_seq(), 2u);
+    em.publish({}, minutes(3), false);
+    EXPECT_EQ(em.next_seq(), 3u);
+    EXPECT_EQ(std::filesystem::file_size(path), magic_only);
+    em.stop();
     std::filesystem::remove_all(dir);
 }
 
